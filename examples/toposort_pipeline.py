@@ -4,17 +4,25 @@
 Topological sort is the first application the paper's introduction
 motivates.  This example models a large generated build system — tens of
 thousands of targets with dependency edges — too big (by assumption) to
-hold in memory, computes a build order with one semi-external DFS, and
-then demonstrates cycle diagnosis after a bad edge is introduced.
+hold in memory, computes a build order with one semi-external DFS sealed
+into a queryable artifact, and then demonstrates cycle diagnosis after a
+bad edge is introduced.
 
 Run:  python examples/toposort_pipeline.py
 """
 
 import random
 
-from repro import BlockDevice, DiskGraph
+from repro import BlockDevice, DiskGraph, semi_external_dfs
 from repro.apps import find_cycle, topological_order
 from repro.errors import NotADAGError
+from repro.serve import seal_result
+
+
+def seal(graph: DiskGraph, memory: int):
+    """One semi-external DFS, sealed with its verification scan."""
+    result = semi_external_dfs(graph, memory, algorithm="divide-td")
+    return seal_result(graph, result, with_scc=False)
 
 
 def build_dependency_edges(target_count: int, seed: int = 3):
@@ -38,7 +46,7 @@ def main() -> None:
         print(f"build graph: {target_count} targets, "
               f"{graph.edge_count} dependency edges on disk")
 
-        order = topological_order(graph, memory, algorithm="divide-td")
+        order = topological_order(seal(graph, memory))
         position = {target: i for i, target in enumerate(order)}
         violations = sum(
             1 for u, v in graph.scan() if position[u] >= position[v]
@@ -54,12 +62,13 @@ def main() -> None:
             list(graph.scan()) + [(target_count - 1, 5)],
             validate=False,
         )
+        broken_artifact = seal(broken, memory)
         try:
-            topological_order(broken, memory)
+            topological_order(broken_artifact)
             print("ERROR: cycle not detected!")
         except NotADAGError as exc:
             print(f"\ncycle correctly rejected: {exc}")
-        witness = find_cycle(broken, memory)
+        witness = find_cycle(broken_artifact)
         print(f"offending dependency cycle has {len(witness)} targets, "
               f"e.g. {witness[:6]} ...")
 

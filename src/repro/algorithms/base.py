@@ -13,21 +13,16 @@ context, budget, tracer, and I/O accounting stay shared.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from ..errors import MemoryBudgetExceeded
 from ..graph.disk_graph import DiskGraph
-from ..obs import NULL_TRACER, MemorySink, SpanEvent, Tracer, legacy_trace_entries
+from ..obs import NULL_TRACER, MemorySink, SpanEvent, Tracer
 from ..storage.buffer_pool import TREE_NODE_COST, MemoryBudget
 from ..storage.io_stats import IOSnapshot
 from ..core.tree import SpanningTree, VirtualNodeAllocator
 from ..core.validation import real_preorder
-
-#: Whether the ``RunResult.trace`` deprecation has been announced (the
-#: property warns once per process, not once per access).
-_TRACE_DEPRECATION_WARNED = False
 
 
 @dataclass
@@ -58,8 +53,6 @@ class RunResult:
         events: the run's completed :class:`~repro.obs.SpanEvent` records
             (populated when the run was given a real
             :class:`~repro.obs.Tracer`; empty under the null tracer).
-            The deprecated :attr:`trace` property renders these in the
-            old list-of-dicts shape.
     """
 
     tree: SpanningTree
@@ -77,25 +70,6 @@ class RunResult:
     #: Open it with ``ArtifactStore(os.path.dirname(os.path.dirname(p)))``
     #: or republish with full query columns via ``seal_result``.
     artifact_ref: Optional[str] = None
-
-    @property
-    def trace(self) -> List[Dict[str, object]]:
-        """Deprecated legacy view of :attr:`events` (list of dicts).
-
-        Renders the recorded span events in the shape the removed
-        ``RunContext.record()`` mechanism produced; use :attr:`events`
-        (typed, with I/O and timing deltas) instead.  See docs/API.md
-        for the migration table.
-        """
-        global _TRACE_DEPRECATION_WARNED
-        if not _TRACE_DEPRECATION_WARNED:
-            _TRACE_DEPRECATION_WARNED = True
-            warnings.warn(
-                "DFSResult.trace is deprecated; use DFSResult.events",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return legacy_trace_entries(self.events)
 
     @property
     def virtual_root(self) -> Optional[int]:
@@ -185,7 +159,6 @@ class RunContext:
         tracer: Optional[Tracer] = None,
         workers: int = 1,
         block_codec: Optional[str] = None,
-        worker_boundary: str = "shm",
     ) -> None:
         minimum = TREE_NODE_COST * graph.node_count
         if memory < minimum:
@@ -195,21 +168,10 @@ class RunContext:
             )
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if worker_boundary not in ("shm", "pickle"):
-            raise ValueError(
-                f"worker_boundary must be 'shm' or 'pickle', got "
-                f"{worker_boundary!r}"
-            )
         self.graph = graph
         self.memory = memory
         self.algorithm = algorithm
         self.workers = workers
-        #: How bulk data crosses the pool's process line: ``"shm"`` moves
-        #: spanning trees as framed int32 columns in shared memory (with a
-        #: per-part pickle fallback on shm-hostile hosts), ``"pickle"``
-        #: forces the legacy fully-pickled payloads.  Irrelevant when
-        #: ``workers == 1``.
-        self.worker_boundary = worker_boundary
         self.budget = MemoryBudget(memory)
         self.allocator = VirtualNodeAllocator(graph.node_count)
         self.passes = 0

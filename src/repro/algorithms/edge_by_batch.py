@@ -4,6 +4,9 @@ Build the initial ``γ``-star, then repeat batched Restructure passes until a
 pass finds no forward-cross edge anywhere.  The whole edge file is scanned
 every pass even if a single forward-cross edge remains — the inefficiency
 (paper §4.1, drawbacks 2 and 3) that motivates divide & conquer.
+
+The in-memory DFS stack spills through an external stack on the graph's
+device, which is the configuration the paper charges to SEMI-DFS.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ def edge_by_batch(
     memory: int,
     start: Optional[int] = None,
     order: Optional[Sequence[int]] = None,
-    use_external_stack: bool = True,
     max_passes: Optional[int] = None,
     deadline_seconds: Optional[float] = None,
     checkpoint_every: Optional[int] = None,
@@ -42,9 +44,6 @@ def edge_by_batch(
         order: optional full restart-priority order over the nodes; the
             relative order of the surviving restart roots is preserved
             across restructuring.
-        use_external_stack: spill the in-memory DFS stack through an
-            external stack on the graph's device — the configuration the
-            paper charges to SEMI-DFS.
         max_passes: cap on Restructure passes; defaults to ``2n + 16``.
         deadline_seconds: optional wall-clock limit (the paper's timeout).
         checkpoint_every: publish the spanning tree to the run's
@@ -55,9 +54,9 @@ def edge_by_batch(
             :class:`~repro.errors.ConvergenceError` (``checkpoint_path``)
             when a cap interrupts the run, and the version directory in
             ``DFSResult.artifact_ref``.
-        initial_tree: resume from a tree loaded via
-            :func:`repro.core.load_tree` (or an artifact's tree) instead
-            of the initial γ-star.
+        initial_tree: resume from a checkpointed tree (for example
+            ``ArtifactStore.for_run(device).open("edge-by-batch-ckpt").tree``)
+            instead of the initial γ-star.
         tracer: a :class:`~repro.obs.Tracer` to receive the run's span
             events (one ``restructure`` span per pass, ``checkpoint``
             spans), metrics, and per-pass progress heartbeats.
@@ -81,7 +80,6 @@ def edge_by_batch(
                 context.allocator.allocate()
     else:
         tree = initial_star_tree(graph, context.allocator, start, order)
-    stack_device = graph.device if use_external_stack else None
     limit = default_max_passes(graph.node_count) if max_passes is None else max_passes
     checkpoint_path: Optional[str] = None
     checkpoint_ref: Optional[str] = None
@@ -110,7 +108,7 @@ def edge_by_batch(
                     "restructure", nodes=graph.node_count
                 ) as span:
                     outcome = restructure(
-                        graph.edge_file, tree, context.budget, stack_device,
+                        graph.edge_file, tree, context.budget, graph.device,
                         check_deadline=context.check_deadline,
                     )
                     span.annotate(

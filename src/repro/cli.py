@@ -162,10 +162,7 @@ def _command_dfs(args: argparse.Namespace) -> int:
         try:
             result = semi_external_dfs(
                 graph, memory, algorithm=args.algorithm, start=args.start,
-                options=RunOptions(
-                    tracer=tracer, workers=args.workers,
-                    worker_boundary=args.worker_boundary,
-                ),
+                options=RunOptions(tracer=tracer, workers=args.workers),
             )
         finally:
             if trace_sink is not None:
@@ -516,12 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     dfs.add_argument("--workers", type=int, default=1,
                      help="process-pool width for the top-level division's "
                           "parts (divide & conquer only; 1 = sequential)")
-    dfs.add_argument("--worker-boundary", choices=("shm", "pickle"),
-                     default=None,
-                     help="how pooled part trees cross the process line: "
-                          "shared-memory columns (shm, the default) or the "
-                          "legacy pickled payloads (pickle); results are "
-                          "identical either way")
     dfs.add_argument("--verify", action="store_true",
                      help="scan the edge file to certify the DFS-Tree")
     dfs.add_argument("--output", help="write the DFS order here")

@@ -16,17 +16,15 @@ reproduces the sibling order exactly.
 
 The module-level :func:`write_tree_blob` / :func:`read_tree_blob` pair
 is the raw wire format, used by :mod:`repro.serve.store` as the tree
-payload *inside* a manifest-bearing artifact directory.  The historical
-:func:`save_tree` / :func:`load_tree` entry points write the same bytes
-but as a bare, unversioned file with no manifest — they still work, but
-are deprecated in favour of publishing through
-:class:`repro.serve.ArtifactStore`.
+payload *inside* a manifest-bearing artifact directory.  Publish and
+open trees through :class:`repro.serve.ArtifactStore`
+(``ArtifactStore.for_run(device).publish_tree`` /
+``store.open(name).tree``).
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Sequence, Tuple
 
 from ..errors import StorageError
 from ..storage.block_device import BlockDevice
@@ -38,22 +36,6 @@ MAGIC = 0x44465331
 
 _NO_PARENT = -1
 _FLAG_VIRTUAL = 1
-
-#: Deprecated entry points that have already warned this process.
-_WARNED_BLOB_API: Set[str] = set()
-
-
-def _warn_bare_blob(name: str) -> None:
-    if name in _WARNED_BLOB_API:
-        return
-    _WARNED_BLOB_API.add(name)
-    warnings.warn(
-        f"{name}() reads/writes a bare, unversioned tree blob; publish "
-        "and open sealed trees through repro.serve.ArtifactStore instead "
-        "(manifest, checksums, versioning)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def tree_columns(tree: SpanningTree) -> Tuple[int, List[int], List[int], List[int]]:
@@ -168,37 +150,3 @@ def read_tree_blob(device: BlockDevice, path: str) -> SpanningTree:
             values.extend(unpack_ints(chunk))
     return tree_from_values(values, context=path)
 
-
-def save_tree(
-    device: BlockDevice, tree: SpanningTree, name: Optional[str] = None
-) -> str:
-    """Write ``tree`` to a new bare blob on ``device``; returns the path.
-
-    .. deprecated::
-        Bare blobs carry no manifest, checksum, or version.  Publish
-        through :class:`repro.serve.ArtifactStore` instead; this wrapper
-        warns once per process and will eventually be removed.
-
-    Raises:
-        StorageError: when the tree has no root.
-    """
-    _warn_bare_blob("save_tree")
-    path = device.allocate_path(name, suffix=".tree")
-    write_tree_blob(device, tree, path)
-    return path
-
-
-def load_tree(device: BlockDevice, path: str) -> SpanningTree:
-    """Reconstruct a tree written by :func:`save_tree` (I/O-counted).
-
-    Reading a *legacy* bare blob still works — artifact tree payloads
-    use the identical wire format — but new code should open artifacts
-    by name through :class:`repro.serve.ArtifactStore`.
-
-    Raises:
-        StorageError: on a bad magic number, truncated file, or (via
-            :class:`~repro.errors.CorruptBlockError`) a block whose
-            checksum no longer matches.
-    """
-    _warn_bare_blob("load_tree")
-    return read_tree_blob(device, path)

@@ -4,8 +4,7 @@
 an algorithm accepts is a declared, documented field, so a typo is a
 construction-time ``TypeError`` instead of a silently ignored kwarg, and
 an option the chosen algorithm does not support is a ``ValueError``
-naming the ones it does.  Legacy keyword calls still work through the
-shim in :mod:`repro.api` (with a once-per-name ``DeprecationWarning``).
+naming the ones it does.
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ class RunOptions:
             :class:`~repro.errors.ConvergenceError` (default ``2n + 16``).
         deadline_seconds: abort with :class:`~repro.errors.ConvergenceError`
             once this much wall-clock has elapsed (DNF semantics).
-        use_external_stack: spill the DFS stack to disk when it outgrows
-            the memory budget (batch baseline only).
         order: explicit initial visit order (batch baseline only).
         checkpoint_every: checkpoint the tree every N passes (batch
             baseline only).
@@ -48,29 +45,21 @@ class RunOptions:
             to ``$REPRO_BLOCK_CODEC``, then ``fixed32``).  The codec
             changes block counts and bytes on disk only — the DFS tree
             and order are bit-identical across codecs.
-        worker_boundary: how pooled part trees cross the process line
-            (divide & conquer only) — ``"shm"`` for framed shared-memory
-            columns with a per-part pickle fallback, ``"pickle"`` to
-            force the legacy fully-pickled payloads.  ``None`` defers to
-            the algorithm's default (``"shm"``).  Results, DFS order,
-            and I/O charges are identical across boundaries.
 
     Fields left at their defaults are never forwarded, so a default
-    value an algorithm does not understand (e.g. ``use_external_stack``
+    value an algorithm does not understand (e.g. ``checkpoint_every``
     for ``divide-td``) is not an error — only an *explicit* unsupported
     setting is.
     """
 
     max_passes: Optional[int] = None
     deadline_seconds: Optional[float] = None
-    use_external_stack: bool = True
     order: Optional[Sequence[int]] = None
     checkpoint_every: Optional[int] = None
     initial_tree: Optional["SpanningTree"] = None
     tracer: Optional["Tracer"] = None
     workers: int = 1
     block_codec: Optional[str] = None
-    worker_boundary: Optional[str] = None
 
     def replace(self, **changes: object) -> "RunOptions":
         """A copy with the given fields changed (frozen-safe update)."""
@@ -90,7 +79,7 @@ class RunOptions:
         """
         kwargs: Dict[str, object] = {}
         for name, value, default in self._items():
-            if isinstance(default, (bool, int)):
+            if isinstance(default, int):
                 # value comparison: small ints (workers=1) are not
                 # guaranteed to be interned, so identity is unreliable
                 unchanged = value == default
@@ -114,9 +103,3 @@ class RunOptions:
             for f in dataclasses.fields(self)
         )
 
-
-#: Every option name :class:`RunOptions` declares, for error messages
-#: and the legacy-kwargs shim in :mod:`repro.api`.
-OPTION_NAMES: "frozenset[str]" = frozenset(
-    f.name for f in dataclasses.fields(RunOptions)
-)

@@ -26,25 +26,24 @@ it.  The parent then reassembles deterministically:
   workers (:func:`part_memory_shares`) so the pool as a whole stays
   inside the semi-external model's budget whenever the parts allow it.
 
-The worker boundary is **columnar, not pickled** (the default ``"shm"``
-boundary).  A part's spanning tree crosses the process line as preorder
-int32 columns — node / parent / virtual-flag, the
-:func:`~repro.core.tree_io.tree_columns` decomposition — framed into a
-:class:`~repro.storage.shm.ColumnSegment` shared-memory segment by the
-kernel layer, and the part DFS-Tree comes back the same way through a
-pre-allocated outcome segment.  Only scalars, the strategy reference,
-and span events are pickled.  Workers map the already-sealed part file
-read-only (``EdgeFile.open_sealed(..., mapped=True)``) instead of
-re-reading it through buffered I/O, so the page cache is shared across
-the pool; every block still flows through ``device.read_block``, so
-logical I/O charges are bit-identical to the sequential run.
+The worker boundary is **columnar, not pickled**.  A part's spanning tree
+crosses the process line as preorder int32 columns — node / parent /
+virtual-flag, the :func:`~repro.core.tree_io.tree_columns` decomposition
+— framed into a :class:`~repro.storage.shm.ColumnSegment` shared-memory
+segment by the kernel layer, and the part DFS-Tree comes back the same
+way through a pre-allocated outcome segment.  Only scalars, the strategy
+reference, and span events are pickled.  Workers map the already-sealed
+part file read-only (``EdgeFile.open_sealed(..., mapped=True)``) instead
+of re-reading it through buffered I/O, so the page cache is shared
+across the pool; every block still flows through ``device.read_block``,
+so logical I/O charges are bit-identical to the sequential run.
 
 Segment lifecycle is parent-owned: every segment is created before
 dispatch and unlinked in a ``finally`` after the pool drains, so worker
 crashes, ``FIRST_EXCEPTION`` cancellation, and deadline expiry cannot
 leak ``/dev/shm`` entries.  A host that cannot provide shared memory
-degrades per part to the legacy pickle boundary (counted in
-``worker_boundary_fallbacks``); ``worker_boundary="pickle"`` forces it.
+degrades per part to a pickled payload (counted in
+``worker_boundary_fallbacks``).
 
 Failure semantics: the pool waits with ``FIRST_EXCEPTION``; on a worker
 failure the in-flight siblings are cancelled, every remaining part edge
@@ -101,13 +100,12 @@ class PartPayload:
     The payload is the parent→worker *control* interface and must stay
     picklable (plain ints/strings, a module-level strategy function, an
     optional frozen :class:`~repro.storage.faults.FaultPlan`).  Bulk data
-    does not ride in it: under the default ``shm`` boundary the part's
-    spanning tree crosses as framed int32 columns in the shared-memory
-    segment named by ``tree_segment`` (and ``tree`` is ``None``), and
-    the worker writes its result tree into ``outcome_segment``.  When
-    both segment names are ``None`` the payload is self-contained and
-    ``tree`` carries the pickled spanning tree (the legacy boundary,
-    still used as a per-part fallback on shm-hostile hosts).
+    does not ride in it: the part's spanning tree crosses as framed
+    int32 columns in the shared-memory segment named by ``tree_segment``
+    (and ``tree`` is ``None``), and the worker writes its result tree
+    into ``outcome_segment``.  When both segment names are ``None`` the
+    payload is self-contained and ``tree`` carries the pickled spanning
+    tree (the per-part fallback on shm-hostile hosts).
     """
 
     index: int
@@ -139,11 +137,11 @@ class PartPayload:
 class PartOutcome:
     """What a worker sends back: measurements plus the part DFS-Tree.
 
-    Under the shm boundary ``tree`` is ``None`` — the DFS-Tree went back
-    as columns in the payload's ``outcome_segment`` and only this record
-    (scalars, counter dict, span events) is pickled.  ``tree`` is only
-    populated on the pickle boundary, or when a result tree unexpectedly
-    outgrew its pre-sized outcome segment.
+    Normally ``tree`` is ``None`` — the DFS-Tree went back as columns in
+    the payload's ``outcome_segment`` and only this record (scalars,
+    counter dict, span events) is pickled.  ``tree`` is only populated on
+    the pickle fallback, or when a result tree unexpectedly outgrew its
+    pre-sized outcome segment.
     """
 
     index: int
@@ -350,13 +348,13 @@ def _build_payloads(
 ) -> Tuple[List[PartPayload], Dict[str, ColumnSegment]]:
     """Snapshot the dispatch-time state of the run into one payload per part.
 
-    Under the ``shm`` boundary each part also gets two parent-owned
-    shared-memory segments: its spanning tree framed as columns, and a
-    pre-sized empty outcome segment for the result tree.  Returns the
-    payloads plus every created segment keyed by name — the caller MUST
-    unlink them all (normally in a ``finally``) whatever happens to the
-    pool.  A part whose segments cannot be allocated falls back to the
-    pickle boundary and is counted in ``worker_boundary_fallbacks``.
+    Each part also gets two parent-owned shared-memory segments: its
+    spanning tree framed as columns, and a pre-sized empty outcome
+    segment for the result tree.  Returns the payloads plus every created
+    segment keyed by name — the caller MUST unlink them all (normally in
+    a ``finally``) whatever happens to the pool.  A part whose segments
+    cannot be allocated falls back to a pickled payload and is counted
+    in ``worker_boundary_fallbacks``.
     """
     device = context.graph.device
     shares, oversubscribed = part_memory_shares(
@@ -366,40 +364,35 @@ def _build_payloads(
     )
     if oversubscribed:
         context.bump("worker_memory_oversubscribed")
-    use_shm = context.worker_boundary != "pickle"
     remaining_deadline = context.remaining_seconds()
     remaining_passes = max(1, pass_limit - context.passes)
     payloads: List[PartPayload] = []
     segments: Dict[str, ColumnSegment] = {}
     for part, share in zip(division.parts, shares):
-        tree: Optional[SpanningTree] = part.tree
+        tree: Optional[SpanningTree] = None
         tree_segment: Optional[str] = None
         outcome_segment: Optional[str] = None
-        if use_shm:
-            try:
-                root, nodes, parents, flags = tree_columns(part.tree)
-                inbound = ColumnSegment.create(
-                    words_for_columns([1, len(nodes), len(nodes), len(nodes)])
-                )
-                segments[inbound.name] = inbound
-                inbound.write_columns(
-                    [[root], nodes, parents, flags], device.kernel
-                )
-                cap = len(nodes) + _OUTCOME_HEADROOM
-                outbound = ColumnSegment.create(
-                    words_for_columns([1, cap, cap, cap])
-                )
-                segments[outbound.name] = outbound
-                tree = None
-                tree_segment = inbound.name
-                outcome_segment = outbound.name
-            except (OSError, StorageError):
-                # Shared memory unavailable (or exhausted) on this host:
-                # this part rides the legacy pickle boundary instead.
-                context.bump("worker_boundary_fallbacks")
-                tree = part.tree
-                tree_segment = None
-                outcome_segment = None
+        try:
+            root, nodes, parents, flags = tree_columns(part.tree)
+            inbound = ColumnSegment.create(
+                words_for_columns([1, len(nodes), len(nodes), len(nodes)])
+            )
+            segments[inbound.name] = inbound
+            inbound.write_columns(
+                [[root], nodes, parents, flags], device.kernel
+            )
+            cap = len(nodes) + _OUTCOME_HEADROOM
+            outbound = ColumnSegment.create(
+                words_for_columns([1, cap, cap, cap])
+            )
+            segments[outbound.name] = outbound
+            tree_segment = inbound.name
+            outcome_segment = outbound.name
+        except (OSError, StorageError):
+            # Shared memory unavailable (or exhausted) on this host:
+            # this part's tree rides the pickled payload instead.
+            context.bump("worker_boundary_fallbacks")
+            tree = part.tree
         payloads.append(
             PartPayload(
                 index=part.index,

@@ -110,7 +110,11 @@ class ReproServer(ThreadingHTTPServer):
     # -- artifact cache ------------------------------------------------
     def engine_for(self, ref: str) -> QueryEngine:
         """The (cached) query engine for ``name[@vN]``; loads on miss."""
-        name, version = parse_ref(ref)
+        try:
+            name, version = parse_ref(ref)
+        except ArtifactError as error:
+            # A malformed ref is the client's mistake, not a server fault.
+            raise QueryError(str(error), code="bad-query") from error
         if version is None:
             version = self.store.latest_version(name)
         key = (name, version)

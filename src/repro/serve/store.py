@@ -109,7 +109,9 @@ def parse_ref(ref: str) -> Tuple[str, Optional[int]]:
     if not sep:
         return name, None
     digits = tail[1:] if tail[:1] == "v" else tail
-    if not digits.isdigit():
+    # str.isdigit() also accepts non-ASCII digits such as "²", which int()
+    # rejects; a version is ASCII digits only.
+    if not (digits.isascii() and digits.isdigit()):
         raise ArtifactError(f"invalid artifact version {tail!r} in {ref!r}")
     return name, int(digits)
 
@@ -440,8 +442,7 @@ def seal_result(
     """Build a full query artifact from a finished run.
 
     One verification scan classifies every edge against the tree
-    (acyclicity + cycle witness + self-loops, exactly the scan the
-    ``repro.apps`` functions perform); SCCs are computed only when the
+    (acyclicity + cycle witness + self-loops); SCCs are computed only when the
     graph turned out cyclic (on a DAG every node is its own SCC), which
     needs a ``memory`` budget for the backward Kosaraju pass.
 
@@ -473,8 +474,8 @@ def seal_result(
         if up is not None and not tree.is_virtual(up):
             parent[node] = up
 
-    # Verification scan: first witness in scan order, mirroring
-    # apps.cycles.find_cycle / apps.toposort edge-for-edge.
+    # Verification scan: the first witness in scan order is either a
+    # self-loop or a back edge closed by its tree path.
     selfloop = [0] * n
     witness: Optional[List[int]] = None
     for u, v in graph.scan():

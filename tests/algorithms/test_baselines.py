@@ -4,6 +4,10 @@ import pytest
 
 from repro import DiskGraph
 from repro.algorithms import edge_by_batch, edge_by_edge
+from repro.algorithms.base import initial_star_tree
+from repro.algorithms.restructure import restructure
+from repro.core.tree import VirtualNodeAllocator
+from repro.core.validation import real_preorder
 from repro.errors import ConvergenceError, MemoryBudgetExceeded
 from repro.graph import (
     Digraph,
@@ -13,6 +17,7 @@ from repro.graph import (
     random_dag,
     random_graph,
 )
+from repro.storage.buffer_pool import MemoryBudget
 
 from ..conftest import assert_valid_dfs_result
 
@@ -84,20 +89,40 @@ class TestEdgeByBatch:
         assert high.io.reads <= low.io.reads
 
     def test_external_stack_adds_write_io(self, device_factory):
+        """Restructure with and without the spilling stack: identical
+        trees, extra I/O only for the stack — and edge-by-batch charges
+        exactly the spilling configuration."""
         graph = random_graph(300, 4, seed=7)
-        dev_a, dev_b = device_factory(16), device_factory(16)
-        with_stack = edge_by_batch(
-            DiskGraph.from_digraph(dev_a, graph), 3 * 300 + 400,
-            use_external_stack=True,
+        memory = 3 * 300 + 400
+        runs = {}
+        for spill in (True, False):
+            device = device_factory(16)
+            disk = DiskGraph.from_digraph(device, graph)
+            budget = MemoryBudget(memory)
+            budget.charge("tree", budget.tree_charge(graph.node_count))
+            tree = initial_star_tree(
+                disk, VirtualNodeAllocator(graph.node_count)
+            )
+            before = device.stats.snapshot()
+            update = True
+            while update:
+                outcome = restructure(
+                    disk.edge_file, tree, budget, device if spill else None
+                )
+                tree, update = outcome.tree, outcome.update
+            runs[spill] = (real_preorder(tree), device.stats.snapshot() - before)
+        (with_order, with_io), (without_order, without_io) = runs[True], runs[False]
+        assert without_io.writes == 0
+        assert with_io.writes > 0
+        assert with_io.total > without_io.total
+        assert with_order == without_order
+        batch = edge_by_batch(
+            DiskGraph.from_digraph(device_factory(16), graph), memory
         )
-        without = edge_by_batch(
-            DiskGraph.from_digraph(dev_b, graph), 3 * 300 + 400,
-            use_external_stack=False,
+        assert batch.order == with_order
+        assert (batch.io.reads, batch.io.writes) == (
+            with_io.reads, with_io.writes
         )
-        assert without.io.writes == 0
-        assert with_stack.io.total >= without.io.total
-        # identical trees either way
-        assert with_stack.order == without.order
 
     def test_pass_cap_raises(self, device):
         graph = random_graph(150, 5, seed=8)

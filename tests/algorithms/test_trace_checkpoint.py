@@ -2,11 +2,20 @@
 
 import pytest
 
-from repro import DiskGraph
+from repro import DiskGraph, Tracer
 from repro.algorithms import divide_td_dfs, edge_by_batch
-from repro.core import load_tree, verify_dfs_tree
+from repro.core import verify_dfs_tree
 from repro.errors import ConvergenceError
 from repro.graph import power_law_graph
+from repro.serve import ArtifactStore
+
+#: Span names recorded once per recursion level, each with a depth.
+LEVEL_SPANS = ("restructure", "divide", "solve")
+
+
+def latest_checkpoint(device):
+    """The tree of the newest edge-by-batch checkpoint on ``device``."""
+    return ArtifactStore.for_run(device).open("edge-by-batch-ckpt").tree
 
 
 class TestTrace:
@@ -14,31 +23,38 @@ class TestTrace:
         graph = power_law_graph(300, 4, seed=1)
         disk = DiskGraph.from_digraph(device, graph)
         result = divide_td_dfs(disk, 3 * 300 + 200)
-        assert result.trace == []
+        assert result.events == []
 
     def test_trace_records_levels(self, device):
         graph = power_law_graph(500, 5, seed=2)
         disk = DiskGraph.from_digraph(device, graph)
-        result = divide_td_dfs(disk, 3 * 500 + 300, trace=True)
-        events = {entry["event"] for entry in result.trace}
-        assert "restructure" in events
+        result = divide_td_dfs(disk, 3 * 500 + 300, tracer=Tracer())
+        names = {event.name for event in result.events}
+        assert "restructure" in names
         if result.divisions:
-            assert "division" in events
+            # only successful division attempts carry a part count
             division_events = [
-                e for e in result.trace if e["event"] == "division"
+                event.attributes for event in result.events
+                if event.name == "divide" and "parts" in event.attributes
             ]
             assert len(division_events) == result.divisions
             for entry in division_events:
                 assert entry["parts"] >= 2
                 assert len(entry["part_sizes"]) == entry["parts"]
         if result.details.get("inmemory_solves"):
-            assert "inmemory" in events
+            assert "solve" in names
 
     def test_trace_depths_consistent(self, device):
         graph = power_law_graph(500, 5, seed=3)
         disk = DiskGraph.from_digraph(device, graph)
-        result = divide_td_dfs(disk, 3 * 500 + 300, trace=True)
-        max_traced = max((e["depth"] for e in result.trace), default=0)
+        result = divide_td_dfs(disk, 3 * 500 + 300, tracer=Tracer())
+        max_traced = max(
+            (
+                event.attributes["depth"] for event in result.events
+                if event.name in LEVEL_SPANS
+            ),
+            default=0,
+        )
         assert max_traced == result.max_depth
 
 
@@ -49,7 +65,7 @@ class TestCheckpointResume:
         result = edge_by_batch(disk, 3 * 300 + 200, checkpoint_every=1)
         assert result.passes >= 1
         assert "checkpoint" in result.details
-        restored = load_tree(device, result.details["checkpoint"])
+        restored = latest_checkpoint(device)
         assert restored.root == result.tree.root
 
     def test_interrupted_run_resumes_to_valid_tree(self, device):
@@ -60,7 +76,7 @@ class TestCheckpointResume:
         path = exc_info.value.checkpoint_path
         assert path
 
-        restored = load_tree(device, path)
+        restored = latest_checkpoint(device)
         resumed = edge_by_batch(disk, 3 * 400 + 150, initial_tree=restored)
         assert verify_dfs_tree(disk, resumed.tree).ok
         # resuming skips the work the first run already did
@@ -71,7 +87,7 @@ class TestCheckpointResume:
         graph = power_law_graph(100, 3, seed=6)
         disk = DiskGraph.from_digraph(device, graph)
         first = edge_by_batch(disk, 3 * 100 + 100, checkpoint_every=1)
-        restored = load_tree(device, first.details["checkpoint"])
+        restored = latest_checkpoint(device)
         with pytest.raises(ValueError):
             edge_by_batch(disk, 3 * 100 + 100, initial_tree=restored, start=3)
 
@@ -93,6 +109,6 @@ class TestCheckpointResume:
             )
         path = exc_info.value.checkpoint_path
         assert path
-        restored = load_tree(device, path)
+        restored = latest_checkpoint(device)
         resumed = edge_by_batch(disk, 3 * 200 + 150, initial_tree=restored)
         assert verify_dfs_tree(disk, resumed.tree).ok

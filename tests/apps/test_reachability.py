@@ -6,55 +6,74 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import BlockDevice, DiskGraph
-from repro.apps import reachability_counts, reachable_set, reaches
+from repro.apps import (
+    reachability_counts,
+    reachable_mask,
+    reachable_set,
+    reaches,
+)
+from repro.errors import QueryError
 from repro.graph import Digraph, directed_cycle, random_graph
+
+from ..conftest import seal_graph
+
+
+def marked(mask):
+    return {node for node, bit in enumerate(mask) if bit}
 
 
 class TestReachableSet:
     def test_simple_chain(self, device):
         graph = Digraph.from_edges(4, [(0, 1), (1, 2)])
         disk = DiskGraph.from_digraph(device, graph)
-        assert reachable_set(disk, 0) == {0, 1, 2}
-        assert reachable_set(disk, 2) == {2}
-        assert reachable_set(disk, 3) == {3}
+        artifact = seal_graph(disk, 3 * 4 + 20, sources=(0, 2, 3))
+        assert reachable_set(artifact, 0) == {0, 1, 2}
+        assert reachable_set(artifact, 2) == {2}
+        assert reachable_set(artifact, 3) == {3}
 
     def test_cycle_reaches_everything(self, device):
         disk = DiskGraph.from_digraph(device, directed_cycle(10))
-        assert reachable_set(disk, 4) == set(range(10))
+        artifact = seal_graph(disk, 3 * 10 + 20, sources=(4,))
+        assert reachable_set(artifact, 4) == set(range(10))
 
     def test_direction_respected(self, device):
         graph = Digraph.from_edges(3, [(0, 1), (2, 1)])
         disk = DiskGraph.from_digraph(device, graph)
-        assert reachable_set(disk, 0) == {0, 1}
-        assert not reaches(disk, 1, 0)
-        assert reaches(disk, 2, 1)
+        artifact = seal_graph(disk, 3 * 3 + 20, sources=(0, 1, 2))
+        assert reachable_set(artifact, 0) == {0, 1}
+        assert not reaches(artifact, 1, 0)
+        assert reaches(artifact, 2, 1)
 
     def test_adversarial_edge_order_still_converges(self, device):
         """Edges stored target-first force one extra pass per hop."""
         hops = 30
         edges = [(u, u + 1) for u in reversed(range(hops))]
         disk = DiskGraph.from_edges(device, hops + 1, edges)
-        assert reachable_set(disk, 0) == set(range(hops + 1))
+        assert marked(reachable_mask(disk, 0)) == set(range(hops + 1))
 
     def test_max_passes_cap(self, device):
         hops = 30
         edges = [(u, u + 1) for u in reversed(range(hops))]
         disk = DiskGraph.from_edges(device, hops + 1, edges)
-        partial = reachable_set(disk, 0, max_passes=2)
+        partial = marked(reachable_mask(disk, 0, max_passes=2))
         assert {0, 1, 2} <= partial
         assert len(partial) < hops + 1
 
     def test_invalid_source_rejected(self, device):
         disk = DiskGraph.from_digraph(device, Digraph(3))
         with pytest.raises(ValueError):
-            reachable_set(disk, 3)
-        with pytest.raises(ValueError):
-            reaches(disk, 0, -1)
+            reachable_mask(disk, 3)
+        artifact = seal_graph(disk, 3 * 3 + 20, sources=(0,))
+        with pytest.raises(QueryError):
+            reachable_set(artifact, 3)
+        with pytest.raises(QueryError):
+            reaches(artifact, 0, -1)
 
     def test_counts_helper(self, device):
         graph = Digraph.from_edges(4, [(0, 1), (1, 2)])
         disk = DiskGraph.from_digraph(device, graph)
-        assert reachability_counts(disk, [0, 1, 3]) == [3, 2, 1]
+        artifact = seal_graph(disk, 3 * 4 + 20, sources=(0, 1, 3))
+        assert reachability_counts(artifact, [0, 1, 3]) == [3, 2, 1]
 
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -66,6 +85,7 @@ class TestReachableSet:
         nx_graph.add_edges_from(graph.edges())
         with BlockDevice(block_elements=16) as device:
             disk = DiskGraph.from_digraph(device, graph)
-            mine = reachable_set(disk, 0)
+            artifact = seal_graph(disk, 3 * node_count + 20, sources=(0,))
+            mine = reachable_set(artifact, 0)
         theirs = {0} | nx.descendants(nx_graph, 0)
         assert mine == theirs

@@ -7,10 +7,11 @@ import os
 import pytest
 from hypothesis import settings as hypothesis_settings
 
-from repro import BlockDevice, DiskGraph
+from repro import BlockDevice, DiskGraph, semi_external_dfs
 from repro.core import check_spanning_tree, verify_dfs_tree
 from repro.core.tree import SpanningTree
 from repro.graph.digraph import Digraph
+from repro.serve import seal_result
 
 # Hypothesis profiles.  CI runs with HYPOTHESIS_PROFILE=ci: no deadline
 # (shared runners have noisy clocks) and print_blob, so a failing example
@@ -115,3 +116,11 @@ def reference_dfs_preorder(graph: Digraph, priority=None) -> list:
             if not advanced:
                 frames.pop()
     return order
+
+
+def seal_graph(
+    disk: DiskGraph, memory: int, algorithm: str = "divide-td", sources=()
+):
+    """Run one semi-external DFS over ``disk`` and seal it (no SCC column)."""
+    result = semi_external_dfs(disk, memory, algorithm=algorithm)
+    return seal_result(disk, result, sources=sources, with_scc=False)

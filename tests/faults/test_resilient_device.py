@@ -10,8 +10,8 @@ import os
 
 import pytest
 
-from repro.core import load_tree, save_tree
 from repro.core.tree import SpanningTree
+from repro.core.tree_io import read_tree_blob, write_tree_blob
 from repro.errors import (
     ClosedFileError,
     CorruptBlockError,
@@ -237,14 +237,15 @@ class TestStructuresUnderFaults:
             tree.add_node(node)
             tree.attach(node, 10)
         with fault_device(block_elements=8) as device:
-            path = save_tree(device, tree)
+            path = device.allocate_path(suffix=".tree")
+            write_tree_blob(device, tree, path)
             with open(path, "r+b") as handle:
                 handle.seek(FRAME_HEADER_BYTES + 1)
                 byte = handle.read(1)[0]
                 handle.seek(FRAME_HEADER_BYTES + 1)
                 handle.write(bytes((byte ^ 0x01,)))
             with pytest.raises(CorruptBlockError):
-                load_tree(device, path)
+                read_tree_blob(device, path)
 
     def test_tree_checkpoint_survives_transient_faults(self, fault_seed):
         tree = SpanningTree()
@@ -255,7 +256,8 @@ class TestStructuresUnderFaults:
             tree.attach(node, 30 if node == 0 else node - 1)
         plan = FaultPlan.transient(fault_seed, rate=0.3)
         with fault_device(plan, max_retries=32) as device:
-            path = save_tree(device, tree)
-            loaded = load_tree(device, path)
+            path = device.allocate_path(suffix=".tree")
+            write_tree_blob(device, tree, path)
+            loaded = read_tree_blob(device, path)
             assert loaded.parent == tree.parent
             assert loaded.virtual == tree.virtual

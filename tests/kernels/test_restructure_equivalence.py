@@ -102,8 +102,7 @@ class TestFullRunEquivalence:
             with BlockDevice(block_elements=32, kernel=kernel) as device:
                 disk = DiskGraph.from_digraph(device, graph)
                 result = semi_external_dfs(
-                    disk, memory, algorithm="edge-by-batch",
-                    use_external_stack=True,
+                    disk, memory, algorithm="edge-by-batch"
                 )
                 summaries[kernel] = (
                     result.order, result.io.reads, result.io.writes,

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import threading
 from http.client import HTTPConnection
+from urllib.parse import quote, urlencode
 
 import pytest
 
@@ -125,6 +126,21 @@ class TestTypedErrors:
         _, port = server
         status, body = get(port, "/v1/query/cycle")
         assert status == 400
+
+    @pytest.mark.parametrize("ref", ["bad name!", "g@vx", "g@v²"])
+    def test_malformed_artifact_ref_400(self, server, ref):
+        _, port = server
+        status, body = get(
+            port, "/v1/query/position?" + urlencode({"artifact": ref, "node": 0})
+        )
+        assert status == 400
+        assert body["error"]["code"] == "bad-query"
+
+    def test_malformed_describe_ref_400(self, server):
+        _, port = server
+        status, body = get(port, "/artifacts/" + quote("g@v²"))
+        assert status == 400
+        assert body["error"]["code"] == "bad-query"
 
     def test_deadline_exceeded_504(self, server):
         _, port = server

@@ -1,8 +1,9 @@
-"""Query engine vs. the repro.apps oracles — differential testing.
+"""Query engine vs. graph-computed oracles — differential testing.
 
-Every certain answer an artifact serves must equal what the apps layer
-computes from the raw graph: same toposort, same cycle verdict and
-witness, same SCC partition, same pinned reachability.  Hypothesis
+Every certain answer an artifact serves must equal what the oracles in
+``tests/oracles.py`` and the apps layer compute from the raw graph: same
+toposort, same cycle verdict and witness, same SCC partition, same
+pinned reachability.  Hypothesis
 drives random graphs through publish → open → compare.
 """
 
@@ -13,18 +14,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import BlockDevice, DiskGraph, semi_external_dfs
-from repro.apps import (
-    find_cycle,
-    has_cycle,
-    reachable_set,
-    strongly_connected_components,
-    topological_order,
-)
+from repro.apps import strongly_connected_components
 from repro.errors import NotADAGError, QueryError
 from repro.graph import random_graph
 from repro.graph.digraph import Digraph
 from repro.serve import ArtifactStore, QueryEngine, seal_result
 
+from ..oracles import find_cycle, has_cycle, reachable_set, topological_order
 from .conftest import publish_graph
 
 

@@ -35,6 +35,11 @@ class TestParseRef:
         with pytest.raises(ArtifactError):
             parse_ref("web@latest")
 
+    def test_non_ascii_digit_version_rejected(self):
+        # "²".isdigit() is True, but int("²") raises ValueError
+        with pytest.raises(ArtifactError):
+            parse_ref("web@v²")
+
     def test_bad_name_rejected(self):
         with pytest.raises(ArtifactError):
             parse_ref("../escape")

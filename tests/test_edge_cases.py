@@ -7,11 +7,13 @@ from repro.apps import (
     check_bipartite,
     check_eulerian,
     find_cycle,
+    sealed_topological_order,
     strongly_connected_components,
-    topological_order,
     weakly_connected_components,
 )
 from repro.core import verify_dfs_tree
+
+from .conftest import seal_graph
 
 ALL_ALGORITHMS = ["edge-by-edge", "edge-by-batch", "divide-star", "divide-td"]
 
@@ -39,11 +41,11 @@ class TestEmptyGraph:
         assert verify_dfs_tree(empty_graph, result.tree).ok
 
     def test_apps(self, empty_graph):
-        assert topological_order(empty_graph, memory=1) == []
+        assert sealed_topological_order(empty_graph, memory=1) == []
         assert weakly_connected_components(empty_graph) == []
         assert strongly_connected_components(empty_graph, memory=1) == []
         assert check_bipartite(empty_graph, memory=1).bipartite
-        assert find_cycle(empty_graph, memory=1) is None
+        assert find_cycle(seal_graph(empty_graph, memory=1)) is None
 
 
 class TestSingleNode:
@@ -53,7 +55,7 @@ class TestSingleNode:
         assert result.order == [0]
 
     def test_apps(self, single_node):
-        assert topological_order(single_node, memory=4) == [0]
+        assert sealed_topological_order(single_node, memory=4) == [0]
         assert strongly_connected_components(single_node, memory=4) == [[0]]
         assert check_eulerian(single_node).has_circuit
 
@@ -67,7 +69,7 @@ class TestSelfLoopsOnly:
         assert verify_dfs_tree(self_loops_only, result.tree).ok
 
     def test_self_loop_is_a_cycle(self, self_loops_only):
-        assert find_cycle(self_loops_only, memory=3 * 3 + 16) == [0]
+        assert find_cycle(seal_graph(self_loops_only, memory=3 * 3 + 16)) == [0]
 
 
 class TestParallelEdges:

@@ -1,10 +1,10 @@
 """Tests for the typed RunOptions surface and the algorithm registry."""
 
-import warnings
+import dataclasses
 
 import pytest
 
-import repro.api
+import repro
 from repro import (
     AlgorithmRegistry,
     AlgorithmSpec,
@@ -13,20 +13,14 @@ from repro import (
     Tracer,
     semi_external_dfs,
 )
+from repro.algorithms import divide_star_dfs, divide_td_dfs
 from repro.graph import random_graph
-from repro.options import OPTION_NAMES
 from repro.registry import BASE_OPTIONS
 
 
 @pytest.fixture
 def disk(device):
     return DiskGraph.from_digraph(device, random_graph(50, 3, seed=9))
-
-
-@pytest.fixture
-def fresh_warnings(monkeypatch):
-    """Reset the once-per-name deprecation bookkeeping for this test."""
-    monkeypatch.setattr(repro.api, "_WARNED_OPTIONS", set())
 
 
 class TestRunOptions:
@@ -45,20 +39,12 @@ class TestRunOptions:
     def test_defaults_are_not_forwarded(self):
         assert RunOptions().to_kwargs(BASE_OPTIONS, "divide-td") == {}
 
-    def test_default_bool_not_forwarded_even_if_unsupported(self):
-        # use_external_stack defaults to True; divide-td does not accept
-        # it, but leaving it at the default must not raise.
-        kwargs = RunOptions(use_external_stack=True).to_kwargs(
-            BASE_OPTIONS, "divide-td"
-        )
-        assert kwargs == {}
-
     def test_explicit_fields_are_forwarded(self):
-        options = RunOptions(max_passes=7, use_external_stack=False)
-        kwargs = options.to_kwargs(
-            BASE_OPTIONS | {"use_external_stack"}, "edge-by-batch"
-        )
-        assert kwargs == {"max_passes": 7, "use_external_stack": False}
+        from repro.api import BATCH_OPTIONS
+
+        options = RunOptions(max_passes=7, checkpoint_every=2)
+        kwargs = options.to_kwargs(BATCH_OPTIONS, "edge-by-batch")
+        assert kwargs == {"max_passes": 7, "checkpoint_every": 2}
 
     def test_unsupported_explicit_option_names_the_valid_set(self):
         with pytest.raises(ValueError) as excinfo:
@@ -69,32 +55,11 @@ class TestRunOptions:
         assert "max_passes" in message  # the supported set is spelled out
 
     def test_option_names_match_the_dataclass(self):
-        assert OPTION_NAMES == {
-            "max_passes", "deadline_seconds", "use_external_stack", "order",
-            "checkpoint_every", "initial_tree", "tracer", "workers",
-            "block_codec", "worker_boundary",
+        names = {field.name for field in dataclasses.fields(RunOptions)}
+        assert names == {
+            "max_passes", "deadline_seconds", "order", "checkpoint_every",
+            "initial_tree", "tracer", "workers", "block_codec",
         }
-
-    def test_default_worker_boundary_not_forwarded(self):
-        # worker_boundary defaults to None (the algorithm's own default,
-        # shm) so algorithms without a pool never see the option.
-        assert RunOptions().to_kwargs(BASE_OPTIONS, "edge-by-batch") == {}
-
-    def test_explicit_worker_boundary_forwarded_to_divide_algorithms(self):
-        from repro.api import DIVIDE_OPTIONS
-
-        kwargs = RunOptions(worker_boundary="pickle").to_kwargs(
-            DIVIDE_OPTIONS, "divide-td"
-        )
-        assert kwargs == {"worker_boundary": "pickle"}
-
-    def test_worker_boundary_unsupported_by_batch_baseline(self):
-        from repro.api import BATCH_OPTIONS
-
-        with pytest.raises(ValueError, match="'worker_boundary'"):
-            RunOptions(worker_boundary="shm").to_kwargs(
-                BATCH_OPTIONS, "edge-by-batch"
-            )
 
     def test_default_workers_not_forwarded(self):
         # workers defaults to 1; edge-by-batch does not accept it, but
@@ -123,9 +88,9 @@ class TestFacadeOptions:
     def test_options_object_forwarded(self, disk):
         result = semi_external_dfs(
             disk, memory=3 * 50 + 90, algorithm="edge-by-batch",
-            options=RunOptions(use_external_stack=False),
+            options=RunOptions(tracer=Tracer()),
         )
-        assert result.io.writes == 0
+        assert result.events
 
     def test_unsupported_option_for_algorithm(self, disk):
         with pytest.raises(ValueError, match="supported options"):
@@ -134,108 +99,16 @@ class TestFacadeOptions:
                 options=RunOptions(order=[0, 1, 2]),
             )
 
-    def test_unknown_legacy_kwarg_lists_valid_names(self, disk, fresh_warnings):
-        with pytest.raises(ValueError) as excinfo:
-            semi_external_dfs(disk, memory=3 * 50 + 90, max_passe=9)
-        message = str(excinfo.value)
-        assert "'max_passe'" in message
-        assert "max_passes" in message and "trace" in message
-
-    def test_legacy_kwargs_warn_once_per_name(self, disk, fresh_warnings):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(2):
-                semi_external_dfs(
-                    disk, memory=3 * 50 + 90, algorithm="divide-td",
-                    max_passes=200,
-                )
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "max_passes" in str(deprecations[0].message)
-
-    def test_each_legacy_name_warns_separately(self, disk, fresh_warnings):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            semi_external_dfs(
-                disk, memory=3 * 50 + 90, algorithm="edge-by-batch",
-                max_passes=200, use_external_stack=False,
-            )
-        names = {str(w.message).split("'")[1] for w in caught
-                 if issubclass(w.category, DeprecationWarning)}
-        assert names == {"max_passes", "use_external_stack"}
-
-    def test_legacy_trace_flag_builds_a_tracer(self, disk, fresh_warnings):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = semi_external_dfs(
-                disk, memory=3 * 50 + 90, algorithm="divide-td", trace=True,
-            )
-        assert any("trace" in str(w.message) for w in caught)
-        assert result.events  # the shim installed a real tracer
-
-    def test_explicit_options_combine_with_legacy_kwargs(
-        self, disk, fresh_warnings
-    ):
-        tracer = Tracer()
-        result = semi_external_dfs(
-            disk, memory=3 * 50 + 90, algorithm="divide-td",
-            options=RunOptions(tracer=tracer), max_passes=200,
-        )
-        assert result.events
-
-
-class TestTraceNextToTracer:
-    def test_trace_with_explicit_tracer_warns_once(self, disk, monkeypatch):
-        import repro.algorithms.divide_conquer as dc
-
-        monkeypatch.setattr(dc, "_TRACE_TRACER_WARNED", False)
-        tracer = Tracer()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(2):
-                dc.divide_td_dfs(
-                    disk, memory=3 * 50 + 90, trace=True, tracer=tracer,
-                )
-        deprecations = [
-            w for w in caught
-            if issubclass(w.category, DeprecationWarning)
-            and "trace=True is ignored" in str(w.message)
-        ]
-        assert len(deprecations) == 1
-
-    def test_trace_alone_still_silent(self, disk, monkeypatch):
-        import repro.algorithms.divide_conquer as dc
-
-        monkeypatch.setattr(dc, "_TRACE_TRACER_WARNED", False)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = dc.divide_td_dfs(disk, memory=3 * 50 + 90, trace=True)
-        assert result.events  # legacy flag still records events
-        assert not any(
-            "trace=True is ignored" in str(w.message) for w in caught
-        )
-
-
-class TestDeprecatedTraceAttribute:
-    def test_trace_property_warns_and_derives_entries(self, disk, monkeypatch):
-        import repro.algorithms.base as base
-
-        monkeypatch.setattr(base, "_TRACE_DEPRECATION_WARNED", False)
-        result = semi_external_dfs(
-            disk, memory=3 * 50 + 90, algorithm="divide-td",
-            options=RunOptions(tracer=Tracer()),
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            entries = result.trace
-            result.trace  # second read: already announced
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert all("event" in entry for entry in entries)
+    def test_unknown_keyword_is_a_type_error(self, disk):
+        # options travel only in RunOptions; a loose keyword is Python's
+        # own TypeError, at the facade and at the runners alike
+        with pytest.raises(TypeError):
+            semi_external_dfs(disk, memory=3 * 50 + 90, max_passes=9)
+        for runner in (divide_star_dfs, divide_td_dfs):
+            with pytest.raises(TypeError):
+                runner(disk, 3 * 50 + 90, trace=True)
+            with pytest.raises(TypeError):
+                runner(disk, 3 * 50 + 90, worker_boundary="shm")
 
 
 class TestRegistry:

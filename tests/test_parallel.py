@@ -25,7 +25,7 @@ from repro.graph.digraph import Digraph
 from repro.obs import SpanEvent, phase_totals
 from repro.parallel import PartOutcome, PartPayload, part_memory_shares
 from repro.storage.io_stats import IOSnapshot
-from repro.storage.shm import SEGMENT_PREFIX, set_segment_observer
+from repro.storage.shm import SEGMENT_PREFIX, ColumnSegment, set_segment_observer
 
 from .conftest import assert_valid_dfs_result
 
@@ -152,32 +152,60 @@ class TestPoolMatchesSequential:
         assert explicit.passes == default.passes
         assert "parallel_dispatches" not in explicit.details
 
-    @pytest.mark.parametrize("boundary", ["shm", "pickle"])
+    @pytest.mark.parametrize("boundary", ["shm", "pickle-fallback"])
     def test_pooled_ios_equal_sequential_under_both_boundaries(
-        self, device_factory, pool_graph, boundary
+        self, device_factory, pool_graph, boundary, segment_ledger,
+        monkeypatch,
     ):
-        """The logical-I/O regression gate for the columnar boundary.
+        """The logical-I/O regression gate for the worker boundary.
 
-        Whatever crosses the process line — shared int32 columns or the
-        legacy pickle — the pooled run must charge *exactly* the block
-        transfers of the sequential loop; the boundary is pure transport.
+        Whatever crosses the process line — shared int32 columns, or the
+        pickled part trees a host without usable shared memory falls
+        back to — the pooled run must charge *exactly* the block
+        transfers of the sequential loop and produce the same order.
+        The fallback is forced by making every segment allocation in the
+        parent fail.
         """
         seq_disk = DiskGraph.from_digraph(device_factory(64), pool_graph)
         sequential = divide_star_dfs(seq_disk, POOL_MEMORY)
+        shm_before = _shm_entries()
 
-        par_disk = DiskGraph.from_digraph(device_factory(64), pool_graph)
-        pooled = divide_star_dfs(
-            par_disk, POOL_MEMORY, workers=POOL, worker_boundary=boundary
+        dispatched = []
+        conquer_parts = repro.parallel.conquer_parts
+
+        def counting_conquer_parts(division, *args, **kwargs):
+            dispatched.append(division.part_count)
+            return conquer_parts(division, *args, **kwargs)
+
+        monkeypatch.setattr(
+            repro.parallel, "conquer_parts", counting_conquer_parts
         )
+        if boundary == "pickle-fallback":
+            def no_shared_memory(cls, capacity_words):
+                raise OSError("shared memory unavailable")
 
-        assert pooled.details.get("parallel_dispatches", 0) >= 1
+            monkeypatch.setattr(
+                ColumnSegment, "create", classmethod(no_shared_memory)
+            )
+        par_disk = DiskGraph.from_digraph(device_factory(64), pool_graph)
+        pooled = divide_star_dfs(par_disk, POOL_MEMORY, workers=POOL)
+
+        assert len(dispatched) == 1
         assert pooled.io == sequential.io
         assert pooled.io.reads == sequential.io.reads
         assert pooled.io.writes == sequential.io.writes
         assert pooled.order == sequential.order
+        fallbacks = pooled.details.get("worker_boundary_fallbacks", 0)
         if boundary == "shm":
             # shared memory worked end to end; no part fell back
-            assert pooled.details.get("worker_boundary_fallbacks", 0) == 0
+            assert fallbacks == 0
+            assert len(segment_ledger["create"]) == 2 * dispatched[0]
+        else:
+            # every part fell back, and no segment was ever created
+            assert fallbacks == dispatched[0]
+            assert segment_ledger["create"] == []
+        assert_segments_balanced(segment_ledger)
+        assert _shm_entries() <= shm_before
 
     def test_mapped_part_scan_charges_identical_ios(self, device_factory):
         """The worker's mmap read path is invisible to logical I/O.
@@ -403,13 +431,24 @@ class TestSegmentLifecycle:
         assert_segments_balanced(segment_ledger)
 
     def test_forced_pickle_boundary_creates_no_segments(
-        self, device_factory, pool_graph, segment_ledger
+        self, device_factory, pool_graph, segment_ledger, monkeypatch
     ):
-        disk = DiskGraph.from_digraph(device_factory(64), pool_graph)
-        result = divide_star_dfs(
-            disk, POOL_MEMORY, workers=POOL, worker_boundary="pickle"
+        """With shared memory unavailable, parts cross pickled.
+
+        Every segment allocation fails, so each part falls back to the
+        pickled boundary and the ledger never sees a create or unlink.
+        """
+        def no_shared_memory(cls, capacity_words):
+            raise OSError("shared memory unavailable")
+
+        monkeypatch.setattr(
+            ColumnSegment, "create", classmethod(no_shared_memory)
         )
-        assert result.details.get("parallel_dispatches", 0) >= 1
+        disk = DiskGraph.from_digraph(device_factory(64), pool_graph)
+        result = divide_star_dfs(disk, POOL_MEMORY, workers=POOL)
+        dispatches = result.details.get("parallel_dispatches", 0)
+        assert dispatches >= 1
+        assert result.details.get("worker_boundary_fallbacks", 0) >= 1
         assert segment_ledger["create"] == []
         assert segment_ledger["unlink"] == []
 
